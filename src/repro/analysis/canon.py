@@ -39,6 +39,7 @@ import threading
 from contextlib import contextmanager
 from typing import Iterator
 
+from repro import chaos
 from repro.alloy.nodes import (
     AssertDecl,
     BinaryExpr,
@@ -134,10 +135,18 @@ def verdict_sharing() -> Iterator[None]:
     instance-producing evidence under the exact printed text (instances
     depend on the encoding, so only syntactic identity may share them).
 
+    The simulated GPT (:class:`~repro.llm.mock_gpt.MockGPT`) replays its
+    reasoning from the same dictionary: a shard's eight LLM columns read
+    the same faulty spec, so its mental-verification verdicts,
+    derived counterexamples and top-level proposal lists repeat across
+    them.  Those entries are keyed on the exact printed text of the
+    module (plus the profile knob that shapes the result), never on its
+    canonical form: proposals and instances depend on the syntax.
+
     The scope is per-shard (one spec), so the cache's lifetime bounds its
     size, and it is thread-local like the :func:`canonicalizing` switch it
-    extends: lookups happen only while canonicalization is enabled and no
-    chaos scope is active.
+    extends: lookups go through :func:`shard_cache`, which opens them only
+    while canonicalization is enabled and no chaos scope is active.
     """
     previous = getattr(_STATE, "shared_verdicts", None)
     _STATE.shared_verdicts = {}
@@ -145,6 +154,33 @@ def verdict_sharing() -> Iterator[None]:
         yield
     finally:
         _STATE.shared_verdicts = previous
+
+
+def shard_cache(fallback: dict | None = None) -> dict | None:
+    """The cache a replaying layer may read and fill, or ``None``.
+
+    Inside a :func:`verdict_sharing` scope this is the shard-shared
+    dictionary; outside one it is ``fallback`` (a caller's private cache).
+    Replay is off — ``None`` — under ``--no-canon``, which stays the
+    from-scratch reference arm, and while a chaos scope is active: fault
+    sites trigger per solver invocation, so skipping real solves would
+    shift the deterministic fault schedule away from the ``--no-canon``
+    arm."""
+    if not canonical_enabled() or chaos.active() is not None:
+        return None
+    shared = shared_verdicts()
+    return fallback if shared is None else shared
+
+
+def text_key(module: Module) -> str | None:
+    """A hash of the module's exact printed text, or ``None`` when it will
+    not print — the key for shard-cache entries that depend on syntax, not
+    only on semantics."""
+    try:
+        text = print_module(module)
+    except Exception:
+        return None
+    return hashlib.sha256(text.encode("utf-8", "replace")).hexdigest()
 
 
 def canonical_key(module: Module, info: ModuleInfo | None = None) -> str | None:

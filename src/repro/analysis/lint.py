@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from contextlib import contextmanager
+from typing import Iterator
 
 from repro.alloy.errors import AlloyError
 from repro.alloy.nodes import (
@@ -142,6 +144,23 @@ def _paragraph_memo() -> OrderedDict:
     if memo is None:
         memo = _PARAGRAPH_MEMO.entries = OrderedDict()
     return memo
+
+
+@contextmanager
+def paragraph_memo_scope() -> Iterator[None]:
+    """Give the dynamic extent a fresh paragraph memo, dropped on exit.
+
+    Memo hits need the *same* paragraph objects, and a shard's modules die
+    with the shard, so entries left over from an earlier shard can never
+    hit again; they only pin ASTs (parsed LLM responses, mostly) until the
+    cap evicts them.  The experiment engine installs one scope per shard,
+    which keeps memory flat however many shards a process runs."""
+    previous = getattr(_PARAGRAPH_MEMO, "entries", None)
+    _PARAGRAPH_MEMO.entries = OrderedDict()
+    try:
+        yield
+    finally:
+        _PARAGRAPH_MEMO.entries = previous
 
 
 class _Linter:

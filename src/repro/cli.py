@@ -196,10 +196,12 @@ def _add_experiment_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--no-canon",
         action="store_true",
-        help="disable semantic candidate deduplication (the ablation arm; "
-        "every candidate reaches the solver instead of replaying the "
-        "cached verdict of its canonical equivalence class — outcomes are "
-        "byte-identical either way, compare analysis.dedup_hits in "
+        help="disable semantic candidate deduplication and the shard cache "
+        "(the ablation arm; every candidate reaches the solver instead of "
+        "replaying the cached verdict of its canonical equivalence class, "
+        "and the simulated GPT redoes the reasoning it would replay by "
+        "exact printed text — outcomes are byte-identical either way, "
+        "compare analysis.dedup_hits and llm.mock.replays in "
         "`repro profile`)",
     )
     parser.add_argument(
@@ -271,8 +273,10 @@ def build_parser() -> argparse.ArgumentParser:
     repair.add_argument(
         "--no-canon",
         action="store_true",
-        help="disable semantic candidate deduplication (solve every "
-        "candidate instead of replaying canonical-class verdicts)",
+        help="disable semantic candidate deduplication and the shard cache "
+        "(solve every candidate instead of replaying canonical-class "
+        "verdicts; the simulated GPT redoes reasoning instead of replaying "
+        "it by exact printed text)",
     )
 
     lint = sub.add_parser(
@@ -463,7 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--no-canon",
         action="store_true",
-        help="disable semantic candidate deduplication in job executions",
+        help="disable semantic candidate deduplication and the shard "
+        "cache's simulated-GPT reasoning replays in job executions",
     )
     serve.add_argument(
         "--cluster-dir",

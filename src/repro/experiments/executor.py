@@ -88,9 +88,10 @@ class ShardTask:
     outcomes — only how long cells take."""
     canonical: bool = True
     """Whether the oracle deduplicates semantically equivalent candidates
-    by canonical form (:mod:`repro.analysis.canon`).  Installed ambiently
-    around the shard like ``incremental``; never affects outcomes — only
-    how many verdicts reach the solver."""
+    by canonical form (:mod:`repro.analysis.canon`) and the simulated GPT
+    replays its reasoning across the shard's LLM columns.  Installed
+    ambiently around the shard like ``incremental``; never affects
+    outcomes — only how many verdicts reach the solver."""
 
 
 @dataclass
@@ -126,18 +127,24 @@ def execute_shard(task: ShardTask) -> ShardResult:
     the result carries the spans and metric snapshot.
     """
     from repro.analysis.canon import canonicalizing, verdict_sharing
+    from repro.analysis.lint import paragraph_memo_scope
     from repro.analysis.prune import pruning
     from repro.analyzer.session import incremental
 
-    # verdict_sharing: one oracle cache for all of this shard's techniques
-    # (same spec, same commands) — BeAFix's evidence and verdicts replay
-    # for ATR and any inner tools.  Lookups are gated on the canonical
-    # switch, so installing it unconditionally keeps --no-canon inert.
-    with pruning(task.static_prune), incremental(
-        task.incremental
-    ), canonicalizing(task.canonical), verdict_sharing(), chaos.install(
-        task.chaos, salt=task.spec.spec_id
-    ) as scope:
+    # verdict_sharing: one cache for all of this shard's techniques (same
+    # spec, same commands) — BeAFix's evidence and verdicts replay for ATR
+    # and any inner tools, and the simulated GPT's reasoning replays across
+    # the LLM columns.  Lookups are gated on the canonical switch, so
+    # installing it unconditionally keeps --no-canon inert.  The lint
+    # paragraph memo is shard-scoped too, so it never pins dead shards' ASTs.
+    with (
+        pruning(task.static_prune),
+        incremental(task.incremental),
+        canonicalizing(task.canonical),
+        verdict_sharing(),
+        paragraph_memo_scope(),
+        chaos.install(task.chaos, salt=task.spec.spec_id) as scope,
+    ):
         if not task.trace:
             result = _execute_shard_cells(task)
         else:

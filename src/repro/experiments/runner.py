@@ -110,10 +110,15 @@ class RunConfig:
     canonical: bool = True
     """Deduplicate semantically equivalent candidates by canonical form
     (:mod:`repro.analysis.canon`) so the oracle solves one representative
-    per equivalence class.  Like ``incremental`` — and unlike
-    ``static_prune`` — *not* part of the cache key: replayed verdicts keep
-    the oracle-budget traversal byte-identical, so both modes share cached
-    results (the ``--no-canon`` ablation only changes solver work)."""
+    per equivalence class.  The same bit gates the shard cache's other
+    replays (:func:`repro.analysis.canon.verdict_sharing`), including the
+    simulated GPT's reasoning — mental verification, derived
+    counterexamples and proposal lists — keyed on exact printed text.
+    Like ``incremental`` — and unlike ``static_prune`` — *not* part of the
+    cache key: replayed verdicts keep the oracle-budget traversal
+    byte-identical and replayed reasoning keeps every LLM response
+    byte-identical, so both modes share cached results (the
+    ``--no-canon`` ablation only changes solver work)."""
     shard_timeout: float | None = None
     """Wall-clock seconds one shard (one spec's pending cells) may take.
     Overdue shards record a ``shard.timeout`` failure and ``"timeout"``

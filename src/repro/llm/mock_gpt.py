@@ -18,17 +18,21 @@ match the shape of the published study (see EXPERIMENTS.md).
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import random
 import re
 from dataclasses import dataclass
+from typing import Callable, TypeVar
 
+from repro import obs
 from repro.alloy.errors import AlloyError
-from repro.alloy.nodes import Module
+from repro.alloy.nodes import Command, Module
 from repro.alloy.parser import parse_module
 from repro.alloy.pretty import print_module
 from repro.alloy.resolver import resolve_module
 from repro.alloy.walk import get_at
+from repro.analysis.canon import shard_cache, text_key
 from repro.analyzer.evaluator import Evaluator
 from repro.analyzer.instance import Instance
 from repro.llm.client import Conversation, UsageStats
@@ -41,6 +45,8 @@ _FIX_HINT = re.compile(r"Fix description: (.+)")
 _PASS_HINT = re.compile(r"assertion '(\w+)' pass")
 _PARAGRAPH_HINT = re.compile(r"(?:fact|pred|fun|assert|sig|field)\s+'?(\w+)'?")
 _RELATION_LINE = re.compile(r"^\s*(\w+) = \{(.*)\}\s*$")
+
+_T = TypeVar("_T")
 
 # Keyword classes a fix description may mention, mapped to the substrings of
 # mutation descriptions they endorse and the weight of the endorsement.
@@ -155,6 +161,59 @@ _PLAUSIBILITY: list[tuple[str, float]] = [
     ("univ", 0.05),
     ("none", 0.05),
 ]
+
+
+def _memo_key(namespace: str, module: Module) -> tuple | None:
+    """The shard-cache key prefix for reasoning about ``module``.
+
+    ``None`` when replay is off (:func:`~repro.analysis.canon.shard_cache`)
+    or the module will not print.  Keys use the exact printed text, not
+    the canonical form: proposals and instances depend on the syntax."""
+    digest = text_key(module) if shard_cache() is not None else None
+    return None if digest is None else (namespace, digest)
+
+
+def _replayed(kind: str, key: tuple | None, compute: Callable[[], _T]) -> _T:
+    """``compute()``, replayed from the shard cache when an equal ``key``
+    was computed earlier in the shard.
+
+    The shard's eight LLM columns all reason about the same faulty spec,
+    and every reasoning step memoized here is a pure function of its key,
+    so a replay cannot change any response.  With no key (replay off)
+    the step is always computed."""
+    cache = shard_cache() if key is not None else None
+    if cache is None:
+        return compute()
+    if key in cache:
+        obs.counter("llm.mock.replays", kind=kind).inc()
+        return cache[key]
+    value = cache[key] = compute()
+    return value
+
+
+def reduced_scope(module: Module, scope: int) -> Module:
+    """A copy of ``module`` whose commands are capped at ``scope``.
+
+    Only the command paragraphs (and their sig scopes) are rebuilt; every
+    other paragraph is shared with ``module``, which is left untouched."""
+
+    def cap(command: Command) -> Command:
+        return dataclasses.replace(
+            command,
+            default_scope=min(command.default_scope, scope),
+            sig_scopes=[
+                dataclasses.replace(sig_scope, bound=min(sig_scope.bound, scope))
+                for sig_scope in command.sig_scopes
+            ],
+        )
+
+    return dataclasses.replace(
+        module,
+        paragraphs=[
+            cap(paragraph) if isinstance(paragraph, Command) else paragraph
+            for paragraph in module.paragraphs
+        ],
+    )
 
 
 class MockGPT:
@@ -278,7 +337,7 @@ class MockGPT:
             feedback_instances = self._derive_counterexamples(
                 module, hints.get("pass")
             )
-        proposals = self._enumerate_proposals(module, info, rng)
+        proposals = self._enumerate_proposals(module, info, rng, memo=True)
         if not proposals:
             return self._render(module, rng, "I believe the specification is correct.")
 
@@ -337,14 +396,24 @@ class MockGPT:
         """Mentally find counterexamples of the module's check commands.
 
         With an ``assertion`` name (the Pass hint) only that check is probed;
-        otherwise every check command is tried in order."""
-        import copy
+        otherwise every check command is tried in order.  The instances are
+        replayed within a shard; the caller gets a fresh list."""
+        key = _memo_key("mock.cex", module)
+        if key is not None:
+            key += (self.profile.self_check_scope, assertion)
+        return list(
+            _replayed(
+                "cex", key, lambda: self._counterexamples(module, assertion)
+            )
+        )
 
-        from repro.alloy.nodes import Command
+    def _counterexamples(
+        self, module: Module, assertion: str | None
+    ) -> list[Instance]:
         from repro.analyzer.analyzer import Analyzer
 
         try:
-            analyzer = Analyzer(copy.deepcopy(module))
+            analyzer = Analyzer(module)
         except (AlloyError, RecursionError):
             return []
         targets: list[str] = []
@@ -427,16 +496,36 @@ class MockGPT:
     # -- proposal generation and ranking -----------------------------------------
 
     def _enumerate_proposals(
-        self, module: Module, info, rng: random.Random
+        self, module: Module, info, rng: random.Random, memo: bool = False
     ) -> list[Mutant]:
-        mutator = Mutator(module, info)
-        proposals = list(mutator.all_mutants(limit=self.profile.proposals_per_call))
+        """Mutation, template and synthesis proposals, shuffled by ``rng``.
+
+        With ``memo`` (the prompt's own spec) the three proposal sources
+        are replayed within a shard; the shuffles always run on fresh
+        copies, so each conversation still draws its own order."""
+        limit = self.profile.proposals_per_call
+        base = _memo_key("mock.proposals", module) if memo else None
+
+        def key(*parts) -> tuple | None:
+            return None if base is None else base + parts
+
+        proposals = list(
+            _replayed(
+                "proposals",
+                key("mutants", limit),
+                lambda: list(Mutator(module, info).all_mutants(limit=limit)),
+            )
+        )
         points = mutation_points(module)
         rng.shuffle(points)
-        remaining = self.profile.proposals_per_call // 2
+        remaining = limit // 2
         for path in points[:6]:
-            for mutant in template_candidates(
-                module, info, path, max_per_location=8
+            for mutant in _replayed(
+                "proposals",
+                key("templates", path),
+                lambda: list(
+                    template_candidates(module, info, path, max_per_location=8)
+                ),
             ):
                 proposals.append(mutant)
                 remaining -= 1
@@ -446,7 +535,11 @@ class MockGPT:
                 break
         # Synthesis proposals: re-state an assertion as a constraint (the
         # "write the missing invariant" move a strong LLM makes naturally).
-        for candidate, description in strengthening_candidates(module, info):
+        for candidate, description in _replayed(
+            "proposals",
+            key("strengthen"),
+            lambda: list(strengthening_candidates(module, info)),
+        ):
             proposals.append(Mutant(module=candidate, description=description, path=()))
         rng.shuffle(proposals)
         return proposals
@@ -549,21 +642,18 @@ class MockGPT:
         return ranked[0]
 
     def _mentally_verifies(self, module: Module) -> bool:
-        import copy
+        """Whether every command of ``module`` meets its expectation at the
+        reduced self-check scope (replayed within a shard)."""
+        key = _memo_key("mock.verify", module)
+        if key is not None:
+            key += (self.profile.self_check_scope,)
+        return _replayed("verify", key, lambda: self._verifies(module))
 
+    def _verifies(self, module: Module) -> bool:
         from repro.analyzer.analyzer import Analyzer
 
         try:
-            reduced = copy.deepcopy(module)
-            for paragraph in reduced.commands:
-                paragraph.default_scope = min(
-                    paragraph.default_scope, self.profile.self_check_scope
-                )
-                for sig_scope in paragraph.sig_scopes:
-                    sig_scope.bound = min(
-                        sig_scope.bound, self.profile.self_check_scope
-                    )
-            analyzer = Analyzer(reduced)
+            analyzer = Analyzer(reduced_scope(module, self.profile.self_check_scope))
         except (AlloyError, RecursionError):
             return False
         for command in analyzer.info.commands:

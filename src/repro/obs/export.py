@@ -361,6 +361,7 @@ def render_profile(data: TraceData) -> str:
         ("llm.prompt_tokens", "LLM prompt tokens (est)"),
         ("llm.completion_tokens", "LLM completion tokens (est)"),
         ("llm.retries", "LLM retries"),
+        ("llm.mock.replays", "simulated-GPT reasoning replays"),
         ("service.lease_acquired", "cluster leases acquired"),
         ("service.lease_adopted", "cluster orphans adopted"),
         ("service.fencing_rejected", "stale commits fenced"),

@@ -24,10 +24,10 @@ from repro.alloy.parser import parse_module
 from repro.alloy.pretty import print_module
 from repro.alloy.resolver import ModuleInfo, resolve_module
 from repro.analysis.canon import (
-    canonical_enabled,
     canonical_key,
     record_dedup_hit,
-    shared_verdicts,
+    shard_cache,
+    text_key,
 )
 from repro.analyzer.analyzer import Analyzer, CommandResult
 from repro.analyzer.instance import Instance
@@ -118,7 +118,7 @@ class PropertyOracle:
         minus the dedup-cache replays."""
         self._session: OracleSession | None = None
         self._session_failed = False
-        self._verdict_cache: dict[str, tuple[bool, list[CommandResult]]] = {}
+        self._verdict_cache: dict[tuple, tuple[bool, list[CommandResult]]] = {}
         self._task_fingerprint = hashlib.sha256(
             task.source.encode("utf-8", "replace")
         ).hexdigest()
@@ -179,24 +179,18 @@ class PropertyOracle:
         ``--no-canon`` arm.  Chaos drills measure resilience, not
         throughput — they pay for the full solver stream."""
         self.queries += 1
-        cache: dict | None = None
+        cache = shard_cache(fallback=self._verdict_cache)
         cache_key: object = None
-        if canonical_enabled() and chaos.active() is None:
+        if cache is not None:
             key = canonical_key(module, self._task.info)
             if key is not None:
-                shared = shared_verdicts()
-                if shared is not None:
-                    cache = shared
-                    cache_key = ("verdict", self._task_fingerprint, key)
-                else:
-                    cache = self._verdict_cache
-                    cache_key = key
+                cache_key = ("verdict", self._task_fingerprint, key)
                 cached = cache.get(cache_key)
                 if cached is not None:
                     record_dedup_hit()
                     return cached
         verdict = self._evaluate_uncached(module)
-        if cache is not None:
+        if cache_key is not None:
             cache[cache_key] = verdict
         return verdict
 
@@ -272,31 +266,19 @@ class PropertyOracle:
         per-command count as the original run, keeping every tool's
         budget traversal byte-identical under ``--no-canon``.
         """
-        cache: dict | None = None
-        cache_key: object = None
-        if canonical_enabled() and chaos.active() is None:
-            cache = shared_verdicts()
-            if cache is not None:
-                try:
-                    text = print_module(module)
-                except Exception:
-                    cache = None
-                else:
-                    cache_key = (
-                        "evidence",
-                        self._task_fingerprint,
-                        hashlib.sha256(
-                            text.encode("utf-8", "replace")
-                        ).hexdigest(),
-                        max_instances,
-                    )
-                    entry = cache.get(cache_key)
-                    if entry is not None:
-                        evidence, skipped_queries = entry
-                        self.queries += skipped_queries
-                        if skipped_queries:
-                            record_dedup_hit(skipped_queries)
-                        return evidence
+        cache = shard_cache()
+        digest = text_key(module) if cache is not None else None
+        if digest is None:
+            cache = None
+        else:
+            cache_key = ("evidence", self._task_fingerprint, digest, max_instances)
+            entry = cache.get(cache_key)
+            if entry is not None:
+                evidence, skipped_queries = entry
+                self.queries += skipped_queries
+                if skipped_queries:
+                    record_dedup_hit(skipped_queries)
+                return evidence
         queries_before = self.queries
         try:
             analyzer = Analyzer(module)
