@@ -7,6 +7,11 @@ metric) and to embed specifications in LLM prompts.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
+from contextlib import contextmanager
+from typing import Iterator
+
 from repro.alloy.nodes import (
     ArrowType,
     AssertDecl,
@@ -212,8 +217,54 @@ def _print_block_lines(block: Block, indent: str) -> list[str]:
     return [f"{indent}{print_formula(f)}" for f in block.formulas]
 
 
+_PRINT_MEMO = threading.local()
+
+_PRINT_MEMO_LIMIT = 256
+"""Cap on the per-thread paragraph print memo (entries pin paragraph ASTs).
+A candidate stream re-prints the same dozen base paragraphs over and over,
+so a small LRU keeps them hot."""
+
+
+def _print_memo() -> OrderedDict:
+    memo = getattr(_PRINT_MEMO, "entries", None)
+    if memo is None:
+        memo = _PRINT_MEMO.entries = OrderedDict()
+    return memo
+
+
+@contextmanager
+def print_memo_scope() -> Iterator[None]:
+    """Give the dynamic extent a fresh paragraph print memo, dropped on
+    exit (memo hits need the same paragraph objects, which die with the
+    shard that made them)."""
+    previous = getattr(_PRINT_MEMO, "entries", None)
+    _PRINT_MEMO.entries = OrderedDict()
+    try:
+        yield
+    finally:
+        _PRINT_MEMO.entries = previous
+
+
 def print_paragraph(paragraph: Paragraph) -> str:
-    """Render a top-level paragraph."""
+    """Render a top-level paragraph.
+
+    Memoized per thread by node identity: repair candidates share every
+    untouched paragraph with their base module, and ASTs are immutable, so
+    printing a candidate costs one paragraph."""
+    memo = _print_memo()
+    key = id(paragraph)
+    entry = memo.get(key)
+    if entry is not None and entry[0] is paragraph:
+        memo.move_to_end(key)
+        return entry[1]
+    text = _render_paragraph(paragraph)
+    memo[key] = (paragraph, text)
+    if len(memo) > _PRINT_MEMO_LIMIT:
+        memo.popitem(last=False)
+    return text
+
+
+def _render_paragraph(paragraph: Paragraph) -> str:
     if isinstance(paragraph, SigDecl):
         parts = []
         if paragraph.abstract:

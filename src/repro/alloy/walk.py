@@ -9,7 +9,6 @@ rewrite arbitrary subtrees without bespoke visitors.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 from typing import Callable, Iterator
 
@@ -49,14 +48,15 @@ def get_at(root: Node, path: Path) -> Node:
 
 def _shallow_node(node: Node) -> Node:
     """A one-level copy of ``node``: fresh object, fresh list containers,
-    shared child subtrees."""
-    fields = {
-        f.name: getattr(node, f.name) for f in dataclasses.fields(node)
-    }
-    for name, value in fields.items():
-        if isinstance(value, list):
-            fields[name] = list(value)
-    return type(node)(**fields)
+    shared child subtrees.  (Node dataclasses keep every field in
+    ``__dict__`` and have no ``__post_init__``, so copying the dict is
+    the same as re-running the constructor, only cheaper.)"""
+    fresh = object.__new__(type(node))
+    fresh.__dict__.update(
+        (name, list(value) if isinstance(value, list) else value)
+        for name, value in node.__dict__.items()
+    )
+    return fresh
 
 
 def _copy_spine(root: Node, path: Path) -> tuple[Node, Node]:
@@ -87,17 +87,20 @@ def _copy_spine(root: Node, path: Path) -> tuple[Node, Node]:
 def replace_at(root: Node, path: Path, replacement: Node) -> Node:
     """Return a copy of ``root`` with the node at ``path`` replaced.
 
-    The copy shares every subtree not on the path with ``root``; the
-    replacement itself is deep-copied (proposals may embed pieces of the
-    original tree)."""
+    The copy shares every subtree not on the path with ``root``, and the
+    replacement is put in place as it is, not copied.  Proposals often
+    embed pieces of the original tree, so the result may share those
+    pieces with ``root`` too; that is sound because ASTs are immutable
+    (see :func:`_copy_spine`).  The returned root is always a fresh node:
+    replacing the root itself yields a one-level copy of ``replacement``."""
     if not path:
-        return copy.deepcopy(replacement)
+        return _shallow_node(replacement)
     new_root, parent = _copy_spine(root, path)
     field_name, index = path[-1]
     if index is None:
-        setattr(parent, field_name, copy.deepcopy(replacement))
+        setattr(parent, field_name, replacement)
     else:
-        getattr(parent, field_name)[index] = copy.deepcopy(replacement)
+        getattr(parent, field_name)[index] = replacement
     return new_root
 
 
@@ -121,9 +124,10 @@ def remove_at(root: Node, path: Path) -> Node:
 def insert_at(root: Node, path: Path, index: int, new_node: Node, field_name: str) -> Node:
     """Return a copy of ``root`` with ``new_node`` inserted into the list
     field ``field_name`` of the node at ``path``, at position ``index``.
-    Unaffected subtrees are shared with ``root``."""
+    Unaffected subtrees are shared with ``root``, and ``new_node`` is
+    inserted as it is, not copied (ASTs are immutable)."""
     new_root, parent = _copy_spine(root, path + ((field_name, None),))
-    getattr(parent, field_name).insert(index, copy.deepcopy(new_node))
+    getattr(parent, field_name).insert(index, new_node)
     return new_root
 
 

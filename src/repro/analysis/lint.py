@@ -42,7 +42,7 @@ from repro.alloy.nodes import (
     Quantified,
     UnaryExpr,
 )
-from repro.alloy.pretty import print_expr
+from repro.alloy.pretty import print_expr, print_memo_scope
 from repro.alloy.resolver import ModuleInfo, resolve_module
 from repro.analysis.cardinality import (
     CardinalityAnalyzer,
@@ -154,11 +154,13 @@ def paragraph_memo_scope() -> Iterator[None]:
     with the shard, so entries left over from an earlier shard can never
     hit again; they only pin ASTs (parsed LLM responses, mostly) until the
     cap evicts them.  The experiment engine installs one scope per shard,
-    which keeps memory flat however many shards a process runs."""
+    which keeps memory flat however many shards a process runs.  The scope
+    covers the paragraph print memo of :mod:`repro.alloy.pretty` too."""
     previous = getattr(_PARAGRAPH_MEMO, "entries", None)
     _PARAGRAPH_MEMO.entries = OrderedDict()
     try:
-        yield
+        with print_memo_scope():
+            yield
     finally:
         _PARAGRAPH_MEMO.entries = previous
 

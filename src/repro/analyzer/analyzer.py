@@ -9,7 +9,9 @@ loop rely on.
 
 from __future__ import annotations
 
+import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -17,11 +19,12 @@ from repro import chaos, obs
 from repro.alloy.errors import AlloyError, AnalysisBudgetError, EvaluationError
 from repro.alloy.nodes import Block, Command, Formula, Module, Not, PredCall
 from repro.alloy.parser import parse_module
+from repro.alloy.pretty import print_decl_type
 from repro.alloy.resolver import ModuleInfo, resolve_module
 from repro.analyzer.instance import Instance
 from repro.analyzer.semantics import field_constraints
 from repro.analyzer.translate import Translator
-from repro.analyzer.universe import Bounds
+from repro.analyzer.universe import Bounds, SigBound, resolve_scopes
 from repro.runtime.budget import Budget
 from repro.runtime.errors import BudgetExhaustedError
 from repro.sat.circuit import CircuitBuilder
@@ -31,6 +34,68 @@ DEFAULT_CONFLICT_LIMIT = 20_000
 """Per-solve conflict budget: the deterministic analogue of the Analyzer's
 wall-clock timeout.  Benchmark-sized problems finish in well under 1,000
 conflicts; pathological mutants are cut off instead of hanging a run."""
+
+
+_TEMPLATES = threading.local()
+
+_TEMPLATE_LIMIT = 8
+"""Cap on the per-thread structural templates of :func:`ground_structure`
+(each holds one grounded solver and circuit)."""
+
+
+def _structure_key(info: ModuleInfo, scopes: dict[str, SigBound]) -> tuple:
+    """Everything the structural grounding reads, in declaration order: the
+    signature hierarchy, the fields with their declared types, and the
+    resolved scopes."""
+    return (
+        tuple(
+            (sig.name, sig.parent, tuple(sig.children), sig.abstract, sig.mult)
+            for sig in info.sigs.values()
+        ),
+        tuple(
+            (f.name, f.owner, f.columns, print_decl_type(f.decl.type))
+            for f in info.fields.values()
+        ),
+        tuple(scopes.values()),
+    )
+
+
+def ground_structure(
+    info: ModuleInfo, command: Command
+) -> tuple[SatSolver, CircuitBuilder, Bounds]:
+    """A fresh solver, circuit builder and :class:`Bounds` for ``command``
+    with the module's structure already asserted: the signature hierarchy
+    and multiplicities (by ``Bounds``) and the field declarations'
+    multiplicity constraints.
+
+    Repair candidates differ from their base module in one paragraph, so
+    most queries ground the very same structure.  It is grounded once per
+    thread for each distinct structure and scope (a small LRU) and every
+    call gets a clone of that template, whose variable numbering, clauses
+    and unit trail equal a from-scratch build's.
+    """
+    scopes = resolve_scopes(info, command)
+    key = _structure_key(info, scopes)
+    templates = getattr(_TEMPLATES, "entries", None)
+    if templates is None:
+        templates = _TEMPLATES.entries = OrderedDict()
+    template = templates.get(key)
+    if template is None:
+        solver = SatSolver()
+        builder = CircuitBuilder(solver)
+        bounds = Bounds(info, command, builder)
+        translator = Translator(info, bounds)
+        for formula in field_constraints(info):
+            builder.assert_true(translator.formula(formula))
+        template = templates[key] = (solver, builder, bounds)
+        if len(templates) > _TEMPLATE_LIMIT:
+            templates.popitem(last=False)
+    else:
+        templates.move_to_end(key)
+    solver, builder, bounds = template
+    solver = solver.clone()
+    builder = builder.clone(solver)
+    return solver, builder, bounds.clone(info, builder)
 
 
 @dataclass
@@ -141,13 +206,8 @@ class Analyzer:
         ``extra_formulas`` are conjoined with the problem — used by repair
         tools to inject test valuations or blocking constraints.
         """
-        solver = SatSolver()
-        builder = CircuitBuilder(solver)
-        bounds = Bounds(self.info, command, builder)
+        solver, builder, bounds = ground_structure(self.info, command)
         translator = Translator(self.info, bounds)
-
-        for formula in field_constraints(self.info):
-            builder.assert_true(translator.formula(formula))
         for fact in self.info.facts:
             builder.assert_true(translator.formula(fact.body))
         builder.assert_true(self._target_handle(command, translator))

@@ -19,10 +19,11 @@ re-grounds the full model and solves from scratch for each one.  An
 
 Commands with equal scope lines share one solver: their fact fragments are
 encoded once and conflicts learned while checking one command keep pruning
-the other's queries.  Paragraph prints and call-name scans are memoized by
-node identity, which the path-copying mutation utilities
-(:mod:`repro.alloy.walk`) make effective — a mutant shares every untouched
-subtree with its base module, so digesting it costs one paragraph print.
+the other's queries.  Paragraph prints (in :func:`print_paragraph`) and
+call-name scans are memoized by node identity, which the path-copying
+mutation utilities (:mod:`repro.alloy.walk`) make effective — a mutant
+shares every untouched subtree with its base module, so digesting it costs
+one paragraph print.
 
 Candidates whose signature declarations differ from the base module (e.g.
 field-multiplicity mutants) cannot share the structural encoding; for those
@@ -60,11 +61,12 @@ from repro.alloy.nodes import (
 )
 from repro.alloy.pretty import print_paragraph
 from repro.alloy.resolver import ModuleInfo, resolve_module
-from repro.analyzer.analyzer import DEFAULT_CONFLICT_LIMIT, CommandResult
-from repro.analyzer.semantics import field_constraints
+from repro.analyzer.analyzer import (
+    DEFAULT_CONFLICT_LIMIT,
+    CommandResult,
+    ground_structure,
+)
 from repro.analyzer.translate import Translator
-from repro.analyzer.universe import Bounds
-from repro.sat.circuit import CircuitBuilder
 from repro.sat.solver import BudgetExceeded, SolveSession
 
 _STATE = threading.local()
@@ -80,8 +82,9 @@ them, keeping the solver's live clause set proportional to the base module
 rather than to the whole candidate stream."""
 
 _MEMO_LIMIT = 100_000
-"""Cap on the identity-keyed print/name memos (they pin candidate AST nodes
-alive); exceeding it clears them, trading reuse for bounded memory."""
+"""Cap on the identity-keyed call-name and conjunct-handle memos (they pin
+candidate AST nodes alive); exceeding it clears them, trading reuse for
+bounded memory."""
 
 
 def incremental_enabled() -> bool:
@@ -114,12 +117,10 @@ class _ScopeSession:
         self._build()
 
     def _build(self) -> None:
-        self.session = SolveSession()
-        self._builder = CircuitBuilder(self.session.solver)
-        self._bounds = Bounds(self._info, self._command, self._builder)
-        translator = Translator(self._info, self._bounds)
-        for formula in field_constraints(self._info):
-            self._builder.assert_true(translator.formula(formula))
+        solver, self._builder, self._bounds = ground_structure(
+            self._info, self._command
+        )
+        self.session = SolveSession(solver)
         self._selectors: dict[bytes, int] = {}
         self._fresh: list[bytes] = []
         self._units: dict[int, tuple[Node, tuple[Node, ...], int]] = {}
@@ -249,9 +250,7 @@ class OracleSession:
         self._conflict_limit = conflict_limit
         self._commands = list(info.commands)
         self._base_sigs = list(info.module.sigs)
-        self._print_memo: dict[int, tuple[Node, str]] = {}
         self._names_memo: dict[int, tuple[Node, frozenset[str]]] = {}
-        self._fingerprint = tuple(self._print(sig) for sig in self._base_sigs)
         self._spaces: dict[object, _ScopeSession] = {}
         # Per-command constant pieces of the target fragment: the printed
         # command (part of the digest) and, for run commands, the fixed
@@ -270,17 +269,6 @@ class OracleSession:
             self._run_targets.append(target)
 
     # -- identity-memoized AST digests ----------------------------------------
-
-    def _print(self, node: Node) -> str:
-        """``print_paragraph`` memoized by node identity."""
-        entry = self._print_memo.get(id(node))
-        if entry is not None and entry[0] is node:
-            return entry[1]
-        if len(self._print_memo) > _MEMO_LIMIT:
-            self._print_memo.clear()
-        text = print_paragraph(node)
-        self._print_memo[id(node)] = (node, text)
-        return text
 
     def _call_names(self, node: Node) -> frozenset[str]:
         """Names syntactically referenced as predicate/function calls.
@@ -339,7 +327,7 @@ class OracleSession:
         digest = hashlib.sha256(root_text.encode("utf-8"))
         for name in sorted(closure):
             digest.update(b"\x00")
-            digest.update(self._print(closure[name]).encode("utf-8"))
+            digest.update(print_paragraph(closure[name]).encode("utf-8"))
         return digest.digest()
 
     # -- fragments -------------------------------------------------------------
@@ -347,7 +335,7 @@ class OracleSession:
     def _fact_fragments(self, info: ModuleInfo) -> list[_Fragment]:
         return [
             (
-                self._digest(self._print(fact), [fact.body], info),
+                self._digest(print_paragraph(fact), [fact.body], info),
                 (lambda body=fact.body: body),
             )
             for fact in info.facts
@@ -368,7 +356,7 @@ class OracleSession:
                 f"unknown assertion {command.target!r}", command.pos
             )
         digest = self._digest(
-            self._command_texts[index] + "\x01" + self._print(assertion),
+            self._command_texts[index] + "\x01" + print_paragraph(assertion),
             [assertion],
             info,
         )
@@ -398,7 +386,7 @@ class OracleSession:
         for candidate_sig, base_sig in zip(sigs, self._base_sigs):
             if candidate_sig is base_sig:  # shared subtree: trivially equal
                 continue
-            if self._print(candidate_sig) != self._print(base_sig):
+            if print_paragraph(candidate_sig) != print_paragraph(base_sig):
                 return False
         return True
 

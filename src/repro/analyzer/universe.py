@@ -9,6 +9,7 @@ variables" in Kodkod terminology.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 from repro.alloy.errors import ScopeError
@@ -118,6 +119,15 @@ class Bounds:
         self._allocate_sig_vars()
         self._allocate_field_vars()
         self._constrain_hierarchy()
+
+    def clone(self, info: ModuleInfo, builder: CircuitBuilder) -> "Bounds":
+        """These bounds over ``builder`` (a clone of this one's builder) for
+        ``info``, a module with the same signatures, fields and scopes.
+        Handles are plain integers, so the variable maps are shared."""
+        twin = copy.copy(self)
+        twin.info = info
+        twin.builder = builder
+        return twin
 
     # -- allocation ----------------------------------------------------------
 

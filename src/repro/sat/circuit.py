@@ -35,6 +35,15 @@ class CircuitBuilder:
     def solver(self) -> SatSolver:
         return self._solver
 
+    def clone(self, solver: SatSolver) -> "CircuitBuilder":
+        """A copy of this builder's circuits and encodings over ``solver``,
+        which must be a clone of this builder's solver."""
+        twin = CircuitBuilder(solver)
+        twin._nodes = list(self._nodes)
+        twin._memo = dict(self._memo)
+        twin._literals = dict(self._literals)
+        return twin
+
     # -- construction --------------------------------------------------------
 
     def var(self, lit: int) -> int:

@@ -124,6 +124,37 @@ class SatSolver:
     def num_vars(self) -> int:
         return self._num_vars
 
+    def clone(self) -> "SatSolver":
+        """An independent copy of this solver, valid only before its first
+        search.
+
+        The copy has the same variables, clauses (in the same order, with
+        the same watches) and root-level unit trail, so adding the same
+        clauses to it and solving behaves exactly like the original would.
+        The analyzer grounds a command's structure once and clones it for
+        every query over that structure.
+        """
+        if self._trail_limits or self._propagate_head or self.stats.propagations:
+            raise ValueError("a solver can be cloned only before it searches")
+        twin = SatSolver.__new__(SatSolver)
+        twin._num_vars = self._num_vars
+        twin._clauses = [list(clause) for clause in self._clauses]
+        twin._watches = {lit: list(w) for lit, w in self._watches.items()}
+        twin._values = list(self._values)
+        twin._levels = list(self._levels)
+        twin._reasons = list(self._reasons)
+        twin._phases = list(self._phases)
+        twin._activity = list(self._activity)
+        twin._activity_inc = self._activity_inc
+        twin._heap = list(self._heap)
+        twin._trail = list(self._trail)
+        twin._trail_limits = []
+        twin._propagate_head = 0
+        twin._root_conflict = self._root_conflict
+        twin.stats = self.stats.copy()
+        twin.last_solve = self.last_solve.copy()
+        return twin
+
     @property
     def num_clauses(self) -> int:
         """Attached (non-unit) clauses, including learned ones."""
@@ -139,7 +170,11 @@ class SatSolver:
         if self._trail_limits:
             # Incremental use: drop back to the root level before mutating.
             self._backtrack(0)
-        self._ensure_vars(lits)
+        num_vars = self._num_vars
+        if lits and (max(lits) > num_vars or -min(lits) > num_vars):
+            self._ensure_vars(lits)
+        values = self._values
+        levels = self._levels
         seen: set[int] = set()
         reduced: list[int] = []
         for lit in lits:
@@ -149,9 +184,11 @@ class SatSolver:
                 return  # tautology
             if lit in seen:
                 continue
-            if self._value(lit) == _TRUE and self._levels[abs(lit)] == 0:
-                return  # already satisfied forever
-            if self._value(lit) == _FALSE and self._levels[abs(lit)] == 0:
+            var = lit if lit > 0 else -lit
+            value = values[var]
+            if value != _UNASSIGNED and levels[var] == 0:
+                if (value == _TRUE) == (lit > 0):
+                    return  # already satisfied forever
                 continue  # literal permanently false
             seen.add(lit)
             reduced.append(lit)

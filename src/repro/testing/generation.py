@@ -10,9 +10,10 @@ which is exactly the failure mode the paper attributes to it.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
-from repro.alloy.nodes import Block, Command, Not
+from repro.alloy.nodes import Block, Command, FactDecl, Not
 from repro.analyzer.analyzer import Analyzer
 from repro.analyzer.instance import Instance
 from repro.testing.aunit import FACTS_TARGET, AUnitTest, TestSuite
@@ -93,16 +94,15 @@ def _sample_negative_instances(
 
     The command's block already encodes the negation; facts are *not*
     asserted during this solve because :meth:`Analyzer.solutions` always
-    asserts them — so we solve on a shadow module without facts.
+    asserts them — so we solve on a shadow module without facts, which
+    shares every other paragraph with the oracle's module.
     """
-    import copy
-
-    from repro.alloy.nodes import FactDecl
-
-    shadow_module = copy.deepcopy(analyzer.module)
-    shadow_module.paragraphs = [
-        p for p in shadow_module.paragraphs if not isinstance(p, FactDecl)
-    ]
+    shadow_module = dataclasses.replace(
+        analyzer.module,
+        paragraphs=[
+            p for p in analyzer.module.paragraphs if not isinstance(p, FactDecl)
+        ],
+    )
     shadow = Analyzer(shadow_module)
     return _sample_instances(shadow, command, limit, rng)
 
